@@ -132,8 +132,9 @@ benchobs:
 # Fuzz every public-surface target for FUZZTIME each: regex parsing,
 # inference, synthesized hashes on arbitrary keys, the bijective
 # container's off-format guard, the hardware kernels against their
-# bit-at-a-time references, and the plan wire decoder on arbitrary
-# frames (the serving plane's trust boundary).
+# bit-at-a-time references, the plan wire decoder on arbitrary
+# frames (the serving plane's trust boundary), and the hash route's
+# request decoder against encoding/json.
 fuzz:
 	$(GO) test -fuzz=FuzzParseRegex -fuzztime=$(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz=FuzzInfer -fuzztime=$(FUZZTIME) -run '^$$' .
@@ -144,6 +145,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAesRoundHW -fuzztime=$(FUZZTIME) -run '^$$' ./internal/aesround/
 	$(GO) test -fuzz=FuzzShardedMapOps -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard/
 	$(GO) test -fuzz=FuzzPlanDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire/
+	$(GO) test -fuzz=FuzzHashRequest -fuzztime=$(FUZZTIME) -run '^$$' ./cmd/sepeserve/
 
 # Regenerate every table and figure of the paper at full cost
 # (≈25 minutes; writes results_full.txt and results_grid.csv).

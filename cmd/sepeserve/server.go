@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,15 +19,18 @@ import (
 // HTTP surface of the daemon. All bodies are JSON except plan
 // export/import, which move raw wire frames (application/octet-stream)
 // so a plan file works unchanged as a cache entry, a curl download and
-// an import body. Hash values are rendered as 16-digit hex strings:
-// JSON numbers are float64 and silently corrupt 64-bit values.
+// an import body. Hash values are rendered as lowercase hex strings of
+// minimal width (no leading zeros): JSON numbers are float64 and
+// silently corrupt 64-bit values. The hash route answers compact JSON
+// built by appendHashResponse; every other route pretty-prints through
+// writeJSON for human readers.
 
 const (
 	// maxBatch bounds one batch-hash request; larger batches answer
 	// 413 so a single tenant cannot monopolize the daemon.
 	maxBatch = 4096
-	// maxBody bounds JSON request bodies (plan imports are bounded by
-	// wire.MaxEncodedSize instead).
+	// maxBody bounds JSON request bodies; larger ones answer 413 (plan
+	// imports are bounded by wire.MaxEncodedSize instead).
 	maxBody = 1 << 20
 )
 
@@ -114,8 +118,12 @@ type registerRequest struct {
 
 func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
+	body, err := readBody(w, r)
+	if err == nil {
+		err = decodeJSON(body, &req)
+	}
+	if err != nil {
+		s.bodyError(w, err)
 		return
 	}
 	fam, err := parseFamily(req.Family)
@@ -256,40 +264,39 @@ func (s *server) handleHash(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, statusOf(err), err)
 		return
 	}
+	body, err := readBody(w, r)
 	var req hashRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
+	if err == nil {
+		req, err = decodeHashRequest(body)
+	}
+	if err != nil {
+		s.bodyError(w, err)
 		return
 	}
+	var out []uint64
 	switch {
 	case req.Key != nil && len(req.Keys) == 0:
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"hash":       hex64(ah.Hash(*req.Key)),
-			"generation": ah.Generation(),
-		})
+		out = []uint64{ah.Hash(*req.Key)}
 	case req.Key == nil && len(req.Keys) > 0:
 		if len(req.Keys) > maxBatch {
 			s.jsonError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("batch of %d exceeds the %d-key limit", len(req.Keys), maxBatch))
 			return
 		}
-		out := make([]uint64, len(req.Keys))
+		out = make([]uint64, len(req.Keys))
 		ah.HashBatch(req.Keys, out)
-		hexes := make([]string, len(out))
-		for i, h := range out {
-			hexes[i] = hex64(h)
-		}
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"hashes":     hexes,
-			"generation": ah.Generation(),
-		})
 	default:
 		s.jsonError(w, http.StatusBadRequest,
 			errors.New(`body must carry exactly one of "key" or "keys"`))
+		return
+	}
+	// 19 bytes bound one rendered hash: 16 hex digits, quotes, comma.
+	resp := appendHashResponse(make([]byte, 0, 64+19*len(out)), out, req.Key == nil, ah.Generation())
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	if _, err := w.Write(resp); err != nil {
+		s.recordWriteError("hash-body", err)
 	}
 }
-
-func hex64(v uint64) string { return strconv.FormatUint(v, 16) }
 
 func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 	t, err := s.reg.lookup(r.PathValue("name"))
@@ -361,18 +368,38 @@ func (s *server) handleCertificate(w http.ResponseWriter, r *http.Request) {
 	cert := core.Certify(fn.Plan())
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"certificate": cert,
-		"digest":      hex64(core.CertDigest(fn.Plan())),
+		"digest":      strconv.FormatUint(core.CertDigest(fn.Plan()), 16),
 	})
 }
 
-// decodeJSON reads a bounded JSON body, rejecting trailing garbage.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBody))
-	if err := dec.Decode(v); err != nil {
+// readBody reads the whole request body, capped at maxBody; a longer
+// body fails with *http.MaxBytesError, which bodyError answers 413.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	// Room for the declared length plus ReadFrom's read-ahead makes the
+	// read one allocation.
+	buf.Grow(int(min(max(r.ContentLength, 0), maxBody)) + bytes.MinRead)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	return buf.Bytes(), err
+}
+
+// decodeJSON decodes one JSON value from body into v, rejecting any
+// non-whitespace byte after it.
+func decodeJSON(body []byte, v any) error {
+	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
-	if dec.More() {
-		return errors.New("invalid JSON body: trailing data")
-	}
 	return nil
+}
+
+// bodyError answers a request whose body could not be read or
+// decoded: 413 when it exceeded maxBody, 400 otherwise.
+func (s *server) bodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.jsonError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	s.jsonError(w, http.StatusBadRequest, err)
 }

@@ -224,14 +224,35 @@ func TestErrorPaths(t *testing.T) {
 		}
 	}
 
-	// Malformed JSON body: 400.
-	r, err := http.Post(ts.URL+"/v1/hash/ssn", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
+	// Malformed JSON body, including a closing bracket after the
+	// value: 400.
+	for _, body := range []string{
+		"{nope",
+		`{"key":"123-45-6789"}}`,
+		`{"key":"123-45-6789"} ]`,
+	} {
+		r, err := http.Post(ts.URL+"/v1/hash/ssn", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("malformed body %q: status %d, want 400", body, r.StatusCode)
+		}
 	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d, want 400", r.StatusCode)
+
+	// Body one byte over maxBody: 413 on the hash route and on the
+	// control plane, not a truncated-body 400.
+	huge := `{"key":"` + strings.Repeat("1", maxBody+1-len(`{"key":""}`)) + `"}`
+	for _, path := range []string{"/v1/hash/ssn", "/v1/formats"} {
+		r, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(huge), r.StatusCode)
+		}
 	}
 
 	// Neither key nor keys, and both at once: 400.

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -626,7 +627,11 @@ func newReservoir(size int) *reservoir {
 	return &reservoir{keys: make([]string, size)}
 }
 
+// add stores a copy of key: callers may pass a substring of a much
+// larger buffer, such as a served request body, which a kept key would
+// otherwise pin for as long as it stays in the reservoir.
 func (r *reservoir) add(key string) {
+	key = strings.Clone(key)
 	r.mu.Lock()
 	r.keys[r.pos] = key
 	r.pos++

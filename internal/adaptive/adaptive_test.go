@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/sepe-go/sepe/internal/hashes"
 	"github.com/sepe-go/sepe/internal/telemetry"
@@ -421,5 +423,21 @@ func TestReservoirRing(t *testing.T) {
 	r.clear()
 	if r.len() != 0 || len(r.snapshot()) != 0 {
 		t.Fatal("clear left keys behind")
+	}
+}
+
+// A kept key must not share memory with the caller's string, or a key
+// sliced from a request body would pin the whole body.
+func TestReservoirCopiesKeys(t *testing.T) {
+	body := strings.Repeat("0123456789", 100)
+	key := body[10:18]
+	r := newReservoir(4)
+	r.add(key)
+	got := r.snapshot()[0]
+	if got != key {
+		t.Fatalf("stored %q, want %q", got, key)
+	}
+	if unsafe.StringData(got) == unsafe.StringData(key) {
+		t.Fatal("reservoir stored the caller's backing memory instead of a copy")
 	}
 }

@@ -83,7 +83,7 @@ wait_ready ssn
 
 echo "serve-smoke: hash"
 H1=$(curl -sf "$BASE/v1/hash/ssn" -d '{"key":"123-45-6789"}' \
-    | sed -n 's/.*"hash": "\([0-9a-f]*\)".*/\1/p')
+    | sed -n 's/.*"hash": *"\([0-9a-f]*\)".*/\1/p')
 [ -n "$H1" ] || fail "single-key hash returned no value"
 curl -sf "$BASE/v1/hash/ssn" -d '{"keys":["123-45-6789","987-65-4321"]}' \
     | grep -q '"hashes"' || fail "batch hash failed"
@@ -99,7 +99,7 @@ start_daemon
 grep -q "preloaded 1 tenant" "$LOG" || fail "warm start did not preload from the cache"
 wait_ready ssn
 H2=$(curl -sf "$BASE/v1/hash/ssn" -d '{"key":"123-45-6789"}' \
-    | sed -n 's/.*"hash": "\([0-9a-f]*\)".*/\1/p')
+    | sed -n 's/.*"hash": *"\([0-9a-f]*\)".*/\1/p')
 [ "$H1" = "$H2" ] || fail "hash changed across restart ($H1 -> $H2)"
 curl -sf "$BASE/v1/formats/ssn" | grep -q '"source": "cache"' \
     || fail "restarted tenant was not served from the cache"
@@ -108,7 +108,7 @@ echo "serve-smoke: import under a new name"
 curl -sf -X PUT --data-binary "@$DIR/ssn.sepeplan" \
     "$BASE/v1/formats/ssn2/plan" >/dev/null || fail "plan import failed"
 H3=$(curl -sf "$BASE/v1/hash/ssn2" -d '{"key":"123-45-6789"}' \
-    | sed -n 's/.*"hash": "\([0-9a-f]*\)".*/\1/p')
+    | sed -n 's/.*"hash": *"\([0-9a-f]*\)".*/\1/p')
 [ "$H1" = "$H3" ] || fail "imported plan hashes differently ($H1 -> $H3)"
 
 echo "serve-smoke: clean shutdown"
