@@ -20,7 +20,9 @@ FUZZTIME ?= 30s
 all: build vet test
 
 # The CI gate: formatting, vet, build, and the full suite under the
-# race detector. Mirrors .github/workflows/ci.yml.
+# race detector, plus the perfbench module — its own go.mod keeps it
+# out of ./... at the root, so a public-API break would otherwise only
+# surface when the benchmark runs. Mirrors .github/workflows/ci.yml.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -29,6 +31,7 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -tags purego ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...

@@ -1,8 +1,9 @@
 package sepe
 
 import (
+	"sync/atomic"
+
 	"github.com/sepe-go/sepe/internal/adaptive"
-	"github.com/sepe-go/sepe/internal/container"
 	"github.com/sepe-go/sepe/internal/core"
 	"github.com/sepe-go/sepe/internal/hashes"
 )
@@ -100,8 +101,9 @@ func NewSeededAdaptiveHash(name string, f *Format, fam Family, cfg AdaptiveConfi
 func (h *AdaptiveHash) Hash(key string) uint64 { return h.a.Hash(key) }
 
 // Func returns the self-switching function value, usable anywhere a
-// HashFunc is. Note that plain containers built from it do not
-// re-bucket on a swap — use the adaptive containers for that.
+// HashFunc is. Note that containers built from it with NewMap and
+// friends do not re-bucket on a swap — use the *Adaptive constructors
+// for that.
 func (h *AdaptiveHash) Func() HashFunc { return h.a.Func() }
 
 // State returns the current lifecycle state.
@@ -128,17 +130,21 @@ func (h *AdaptiveHash) Metrics() *AdaptiveMetrics { return h.a.Metrics() }
 // The hash keeps serving its current function but no longer heals.
 func (h *AdaptiveHash) Close() { h.a.Close() }
 
-// Adaptive containers: the std::unordered_* equivalents bound to an
-// AdaptiveHash. Each operation costs one generation check on top of
-// the plain container; when the hash swaps (fallback or promotion),
-// the container starts an incremental migration and every subsequent
-// operation drains a few retired buckets, so the swap never causes a
-// stop-the-world rehash. Operations also feed every K-th key to the
-// drift monitor — deterministic observation that works even when
-// drifted hash values defeat the hash-bit sampling of AdaptiveHash.
-//
-// Like the plain containers, adaptive containers are not safe for
-// concurrent use; the hash they share is.
+// HashBatch hashes keys[i] into out[i] with the active function
+// pinned once for the whole batch (one atomic load per batch instead
+// of per key). Drift sampling still applies per key, so batch callers
+// detect format drift at the same rate as single-call loops.
+func (h *AdaptiveHash) HashBatch(keys []string, out []uint64) { h.a.HashBatch(keys, out) }
+
+// Adaptive containers: the containers built by the *Adaptive
+// constructors, bound to an AdaptiveHash. Each operation runs the
+// adaptive tick on top of the plain container; when the hash swaps
+// (fallback or promotion), the container starts an incremental
+// migration and every subsequent operation drains a few retired
+// buckets, so the swap never causes a stop-the-world rehash.
+// Operations also feed every K-th key to the drift monitor —
+// deterministic observation that works even when drifted hash values
+// defeat the hash-bit sampling of AdaptiveHash.
 const (
 	// adaptiveCheckEvery is how often (in ops, power of two) the tick
 	// looks at the shared hash at all — the generation test is two
@@ -156,239 +162,65 @@ const (
 	adaptiveMigrateStep = 16
 )
 
-// adaptiveCore is the per-container bookkeeping shared by the four
-// adaptive shapes.
-type adaptiveCore struct {
-	h         *adaptive.Hash
-	gen       uint64
-	ops       uint64
-	migrating bool
-}
-
-// migratable is the container-side surface the adaptive wrapper
-// drives.
+// migratable is the container-side surface the adaptive tick drives:
+// a single-owner table or a striped one.
 type migratable interface {
-	BeginMigration(newHash hashes.Func)
+	BeginMigration(gen uint64, newHash hashes.Func)
 	MigrateStep(k int) bool
 	Migrating() bool
 }
 
-// tick runs the per-operation adaptive duties: sampled observation,
-// swap detection, and one bounded migration step. The common healthy
-// path is a counter increment and two predictable branches; the
-// atomic generation test runs every adaptiveCheckEvery ops, and the
-// interface dispatches only on a swap or during a migration
-// (c.migrating mirrors the container's state so the steady state
-// never calls through the interface).
-func (c *adaptiveCore) tick(key string, m migratable) {
-	c.ops++
-	if c.migrating {
-		c.migrating = m.MigrateStep(adaptiveMigrateStep)
+// adaptiveTick binds one container to an adaptive hash. Its state is
+// atomic so that one implementation serves single-owner and striped
+// containers alike; the op counter belongs to the caller (a plain
+// field or an atomic), and on the healthy path the atomics are only
+// read. The generation CAS elects exactly one operation to start each
+// migration.
+type adaptiveTick struct {
+	h         *adaptive.Hash
+	m         migratable
+	gen       atomic.Uint64
+	migrating atomic.Bool
+}
+
+func newAdaptiveTick(h *adaptive.Hash, gen uint64, m migratable) *adaptiveTick {
+	c := &adaptiveTick{h: h, m: m}
+	c.gen.Store(gen)
+	return c
+}
+
+// tick runs the per-operation adaptive duties for the ops-th
+// operation: sampled observation, swap detection, and one bounded
+// migration step. The common healthy path is two predictable branches
+// on a counter and a flag; the generation test runs every
+// adaptiveCheckEvery ops, and the container is called only on a swap
+// or during a migration (c.migrating mirrors its state so the steady
+// state never calls through the interface). During a striped
+// migration every operation drains a bounded batch of retired buckets
+// from the next shard in round-robin order, so concurrent traffic
+// parallelizes the drain itself.
+func (c *adaptiveTick) tick(ops uint64, key string) {
+	if c.migrating.Load() && !c.m.MigrateStep(adaptiveMigrateStep) {
+		c.migrating.Store(false)
 	}
-	if c.ops&(adaptiveCheckEvery-1) != 0 {
+	if ops&(adaptiveCheckEvery-1) != 0 {
 		return
 	}
-	if c.ops&(adaptiveObserveEvery-1) == 0 {
+	if ops&(adaptiveObserveEvery-1) == 0 {
 		c.h.Observe(key)
+		// Re-arm after a lost race: a goroutine clearing the flag at
+		// the end of one migration can overwrite the set of a migration
+		// that began concurrently. The periodic scan restores it.
+		if !c.migrating.Load() && c.m.Migrating() {
+			c.migrating.Store(true)
+		}
 	}
-	if g := c.h.Generation(); g != c.gen {
-		c.gen = g
-		m.BeginMigration(c.h.Current())
-		c.migrating = true
-	}
-}
-
-// AdaptiveMap is a Map bound to an AdaptiveHash: it re-buckets
-// incrementally whenever the hash swaps generations.
-type AdaptiveMap[V any] struct {
-	c adaptiveCore
-	m *container.Map[V]
-}
-
-// NewMapAdaptive returns an empty AdaptiveMap over h.
-func NewMapAdaptive[V any](h *AdaptiveHash) *AdaptiveMap[V] {
-	return NewMapAdaptiveObserved[V](h, nil)
-}
-
-// NewMapAdaptiveObserved returns an AdaptiveMap whose container
-// operations feed cm: per-op probe depths, B-Coll, and — because the
-// adaptive loop migrates buckets on every generation swap — the
-// migration markers (sepe_container_migrations_total, the migrating
-// gauge, and flight-recorder migrate events). A nil cm yields a plain
-// AdaptiveMap.
-func NewMapAdaptiveObserved[V any](h *AdaptiveHash, cm *ContainerMetrics) *AdaptiveMap[V] {
-	m := &AdaptiveMap[V]{
-		c: adaptiveCore{h: h.a, gen: h.a.Generation()},
-		m: container.NewMap[V](h.a.Current(), nil),
-	}
-	m.m.SetHooks(batchedContainerHooks(cm))
-	return m
-}
-
-// Put maps key to val, reporting whether the key was new.
-func (m *AdaptiveMap[V]) Put(key string, val V) bool {
-	m.c.tick(key, m.m)
-	return m.m.Put(key, val)
-}
-
-// Get returns the value mapped to key.
-func (m *AdaptiveMap[V]) Get(key string) (V, bool) {
-	m.c.tick(key, m.m)
-	return m.m.Get(key)
-}
-
-// Delete removes the mapping for key.
-func (m *AdaptiveMap[V]) Delete(key string) int {
-	m.c.tick(key, m.m)
-	return m.m.Delete(key)
-}
-
-// Len returns the number of entries.
-func (m *AdaptiveMap[V]) Len() int { return m.m.Len() }
-
-// ForEach visits every entry in unspecified order.
-func (m *AdaptiveMap[V]) ForEach(f func(key string, val V)) { m.m.ForEach(f) }
-
-// Stats returns bucket measurements (both regions during a migration).
-func (m *AdaptiveMap[V]) Stats() TableStats { return fromStats(m.m.Stats()) }
-
-// Migrating reports whether an incremental re-bucket is in progress.
-func (m *AdaptiveMap[V]) Migrating() bool { return m.m.Migrating() }
-
-// Hash returns the adaptive hash the map is bound to.
-func (m *AdaptiveMap[V]) Hash() *AdaptiveHash { return &AdaptiveHash{a: m.c.h} }
-
-// AdaptiveSet is a Set bound to an AdaptiveHash.
-type AdaptiveSet struct {
-	c adaptiveCore
-	s *container.Set
-}
-
-// NewSetAdaptive returns an empty AdaptiveSet over h.
-func NewSetAdaptive(h *AdaptiveHash) *AdaptiveSet {
-	return &AdaptiveSet{
-		c: adaptiveCore{h: h.a, gen: h.a.Generation()},
-		s: container.NewSet(h.a.Current(), nil),
+	// One load yields a consistent (generation, function) pair, and
+	// the container drops a migration older than its own, so sweeps
+	// that finish out of order still leave it on the newest function.
+	gen, fn := c.h.Variant()
+	if old := c.gen.Load(); gen > old && c.gen.CompareAndSwap(old, gen) {
+		c.m.BeginMigration(gen, fn)
+		c.migrating.Store(true)
 	}
 }
-
-// Add inserts key, reporting whether it was new.
-func (s *AdaptiveSet) Add(key string) bool {
-	s.c.tick(key, s.s)
-	return s.s.Add(key)
-}
-
-// Has reports membership.
-func (s *AdaptiveSet) Has(key string) bool {
-	s.c.tick(key, s.s)
-	return s.s.Search(key)
-}
-
-// Delete removes key.
-func (s *AdaptiveSet) Delete(key string) int {
-	s.c.tick(key, s.s)
-	return s.s.Erase(key)
-}
-
-// Len returns the number of members.
-func (s *AdaptiveSet) Len() int { return s.s.Len() }
-
-// Stats returns bucket measurements.
-func (s *AdaptiveSet) Stats() TableStats { return fromStats(s.s.Stats()) }
-
-// Migrating reports whether an incremental re-bucket is in progress.
-func (s *AdaptiveSet) Migrating() bool { return s.s.Migrating() }
-
-// AdaptiveMultiMap is a MultiMap bound to an AdaptiveHash.
-type AdaptiveMultiMap[V any] struct {
-	c adaptiveCore
-	m *container.MultiMap[V]
-}
-
-// NewMultiMapAdaptive returns an empty AdaptiveMultiMap over h.
-func NewMultiMapAdaptive[V any](h *AdaptiveHash) *AdaptiveMultiMap[V] {
-	return &AdaptiveMultiMap[V]{
-		c: adaptiveCore{h: h.a, gen: h.a.Generation()},
-		m: container.NewMultiMap[V](h.a.Current(), nil),
-	}
-}
-
-// Put adds one key→val entry; duplicates are kept.
-func (m *AdaptiveMultiMap[V]) Put(key string, val V) {
-	m.c.tick(key, m.m)
-	m.m.Put(key, val)
-}
-
-// GetAll returns every value mapped to key.
-func (m *AdaptiveMultiMap[V]) GetAll(key string) []V {
-	m.c.tick(key, m.m)
-	return m.m.GetAll(key)
-}
-
-// Count returns the number of entries for key.
-func (m *AdaptiveMultiMap[V]) Count(key string) int {
-	m.c.tick(key, m.m)
-	return m.m.Count(key)
-}
-
-// Delete removes all entries for key.
-func (m *AdaptiveMultiMap[V]) Delete(key string) int {
-	m.c.tick(key, m.m)
-	return m.m.Delete(key)
-}
-
-// Len returns the total entry count.
-func (m *AdaptiveMultiMap[V]) Len() int { return m.m.Len() }
-
-// Stats returns bucket measurements.
-func (m *AdaptiveMultiMap[V]) Stats() TableStats { return fromStats(m.m.Stats()) }
-
-// Migrating reports whether an incremental re-bucket is in progress.
-func (m *AdaptiveMultiMap[V]) Migrating() bool { return m.m.Migrating() }
-
-// AdaptiveMultiSet is a MultiSet bound to an AdaptiveHash.
-type AdaptiveMultiSet struct {
-	c adaptiveCore
-	s *container.MultiSet
-}
-
-// NewMultiSetAdaptive returns an empty AdaptiveMultiSet over h.
-func NewMultiSetAdaptive(h *AdaptiveHash) *AdaptiveMultiSet {
-	return &AdaptiveMultiSet{
-		c: adaptiveCore{h: h.a, gen: h.a.Generation()},
-		s: container.NewMultiSet(h.a.Current(), nil),
-	}
-}
-
-// Add inserts one occurrence of key.
-func (s *AdaptiveMultiSet) Add(key string) {
-	s.c.tick(key, s.s)
-	s.s.Insert(key)
-}
-
-// Count returns the number of occurrences of key.
-func (s *AdaptiveMultiSet) Count(key string) int {
-	s.c.tick(key, s.s)
-	return s.s.Count(key)
-}
-
-// Has reports whether key occurs at least once.
-func (s *AdaptiveMultiSet) Has(key string) bool {
-	s.c.tick(key, s.s)
-	return s.s.Search(key)
-}
-
-// Delete removes all occurrences of key.
-func (s *AdaptiveMultiSet) Delete(key string) int {
-	s.c.tick(key, s.s)
-	return s.s.Erase(key)
-}
-
-// Len returns the total occurrence count.
-func (s *AdaptiveMultiSet) Len() int { return s.s.Len() }
-
-// Stats returns bucket measurements.
-func (s *AdaptiveMultiSet) Stats() TableStats { return fromStats(s.s.Stats()) }
-
-// Migrating reports whether an incremental re-bucket is in progress.
-func (s *AdaptiveMultiSet) Migrating() bool { return s.s.Migrating() }

@@ -77,7 +77,7 @@ func BenchmarkObsMapPutGetObserved(b *testing.B) {
 	reg := obsRegistry()
 	full := sepe.Instrument(fn, reg.NewHash("obs"),
 		reg.NewDrift("obs", f.Matches, sepe.DriftConfig{}))
-	benchMapPutGet(b, sepe.NewMapObserved[int](full, reg.NewContainer("obs")), keys)
+	benchMapPutGet(b, sepe.NewMap[int](full, sepe.WithMetrics(reg, "obs")), keys)
 }
 
 // The 64Ki-key variants run the same pair over a working set that no
@@ -94,7 +94,7 @@ func BenchmarkObsMapPutGetObserved64k(b *testing.B) {
 	reg := obsRegistry()
 	full := sepe.Instrument(fn, reg.NewHash("obs"),
 		reg.NewDrift("obs", f.Matches, sepe.DriftConfig{}))
-	benchMapPutGet(b, sepe.NewMapObserved[int](full, reg.NewContainer("obs")), f.Samples(1<<16, 9))
+	benchMapPutGet(b, sepe.NewMap[int](full, sepe.WithMetrics(reg, "obs")), f.Samples(1<<16, 9))
 }
 
 // TestObsPairedOverhead is the measurement behind the overhead
@@ -151,7 +151,7 @@ func TestObsPairedOverhead(t *testing.T) {
 
 	for _, size := range []int{1024, 1 << 16} {
 		mraw := sepe.NewMap[int](raw)
-		mobs := sepe.NewMapObserved[int](full, reg.NewContainer(fmt.Sprintf("obs%d", size)))
+		mobs := sepe.NewMap[int](full, sepe.WithMetrics(reg, fmt.Sprintf("obs%d", size)))
 		mkeys := f.Samples(size, 9)
 		for i, k := range mkeys {
 			mraw.Put(k, i)
@@ -212,7 +212,7 @@ func TestObservabilityZeroAllocs(t *testing.T) {
 		t.Errorf("full-plane instrumented hash allocates %.2f per op", n)
 	}
 
-	m := sepe.NewMapObserved[int](fn, reg.NewContainer("obs"))
+	m := sepe.NewMap[int](fn, sepe.WithMetrics(reg, "obs"))
 	for _, k := range keys {
 		m.Put(k, 0)
 	}

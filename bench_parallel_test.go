@@ -127,23 +127,23 @@ func BenchmarkParallelSet(b *testing.B) {
 	hash := parallelHash(b)
 	for _, g := range goroutineCounts() {
 		b.Run(fmt.Sprintf("sharded/goroutines=%d", g), func(b *testing.B) {
-			s := sepe.NewShardedSet(hash.Func())
+			s := sepe.NewShardedMap[struct{}](hash.Func())
 			for _, k := range keys {
-				s.Add(k)
+				s.Put(k, struct{}{})
 			}
 			driveParallel(b, g, keys,
-				func(k string, _ int) { s.Add(k) },
-				func(k string) { s.Has(k) })
+				func(k string, _ int) { s.Put(k, struct{}{}) },
+				func(k string) { s.Get(k) })
 		})
 		b.Run(fmt.Sprintf("mutex/goroutines=%d", g), func(b *testing.B) {
 			var mu sync.Mutex
-			s := sepe.NewSet(hash.Func())
+			s := sepe.NewMap[struct{}](hash.Func())
 			for _, k := range keys {
-				s.Add(k)
+				s.Put(k, struct{}{})
 			}
 			driveParallel(b, g, keys,
-				func(k string, _ int) { mu.Lock(); s.Add(k); mu.Unlock() },
-				func(k string) { mu.Lock(); s.Has(k); mu.Unlock() })
+				func(k string, _ int) { mu.Lock(); s.Put(k, struct{}{}); mu.Unlock() },
+				func(k string) { mu.Lock(); s.Get(k); mu.Unlock() })
 		})
 	}
 }

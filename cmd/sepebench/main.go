@@ -478,7 +478,7 @@ func (r *runner) fourDigitWorstCase() error {
 		pool[i] = fmt.Sprintf("%04d", i)
 	}
 	count := func(f func(string) uint64, shift uint, mask uint64) (bc, tc int) {
-		set := container.NewSet(f, func(h uint64, buckets int) int {
+		set := container.NewMap[struct{}](f, func(h uint64, buckets int) int {
 			return int((h >> shift & mask) % uint64(buckets))
 		})
 		seen := map[uint64]bool{}

@@ -60,14 +60,14 @@ func runParallel(n int) error {
 		{
 			"set",
 			func() (func(string), func(string)) {
-				s := sepe.NewShardedSet(hash.Func())
-				return func(k string) { s.Add(k) }, func(k string) { s.Has(k) }
+				s := sepe.NewShardedMap[struct{}](hash.Func())
+				return func(k string) { s.Put(k, struct{}{}) }, func(k string) { s.Get(k) }
 			},
 			func() (func(string), func(string)) {
 				var mu sync.Mutex
-				s := sepe.NewSet(hash.Func())
-				return func(k string) { mu.Lock(); s.Add(k); mu.Unlock() },
-					func(k string) { mu.Lock(); s.Has(k); mu.Unlock() }
+				s := sepe.NewMap[struct{}](hash.Func())
+				return func(k string) { mu.Lock(); s.Put(k, struct{}{}); mu.Unlock() },
+					func(k string) { mu.Lock(); s.Get(k); mu.Unlock() }
 			},
 		},
 		{
@@ -86,14 +86,14 @@ func runParallel(n int) error {
 		{
 			"multiset",
 			func() (func(string), func(string)) {
-				s := sepe.NewShardedMultiSet(hash.Func())
-				return func(k string) { s.Add(k); s.Delete(k) }, func(k string) { s.Has(k) }
+				s := sepe.NewShardedMultiMap[struct{}](hash.Func())
+				return func(k string) { s.Put(k, struct{}{}); s.Delete(k) }, func(k string) { s.Count(k) }
 			},
 			func() (func(string), func(string)) {
 				var mu sync.Mutex
-				s := sepe.NewMultiSet(hash.Func())
-				return func(k string) { mu.Lock(); s.Add(k); s.Delete(k); mu.Unlock() },
-					func(k string) { mu.Lock(); s.Has(k); mu.Unlock() }
+				s := sepe.NewMultiMap[struct{}](hash.Func())
+				return func(k string) { mu.Lock(); s.Put(k, struct{}{}); s.Delete(k); mu.Unlock() },
+					func(k string) { mu.Lock(); s.Count(k); mu.Unlock() }
 			},
 		},
 	}

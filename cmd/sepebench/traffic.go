@@ -155,7 +155,7 @@ type tenant struct {
 	role string
 	typ  keys.Type
 	ah   *sepe.AdaptiveHash
-	m    *sepe.AdaptiveMap[int]
+	m    *sepe.Map[int]
 	gen  *keys.Generator
 	zipf *zipfPicker
 	work []string

@@ -165,7 +165,7 @@ func newDemo(offformat float64) (*demo, error) {
 		am.SetState(0, "Specialized", sepe.HealthReady)
 		df := &demoFormat{
 			name:  t.Name(),
-			m:     sepe.NewMapObserved[int](sepe.Instrument(fn, hm, drift), reg.NewContainer(t.Name())),
+			m:     sepe.NewMap[int](sepe.Instrument(fn, hm, drift), sepe.WithMetrics(reg, t.Name())),
 			gen:   keys.NewGenerator(t, keys.Uniform, 0x5EED),
 			drift: drift,
 			am:    am,

@@ -1,6 +1,6 @@
 // Observed runs an instrumented SSN map under load and serves its
 // live metrics over HTTP — the telemetry layer end to end: an
-// Instrument-wrapped Pext hash, a NewMapObserved container, and a
+// Instrument-wrapped Pext hash, a Map built WithMetrics, and a
 // format-drift monitor watching the key stream for the paper's RQ7
 // failure mode.
 //
@@ -47,7 +47,6 @@ func main() {
 	// One metrics block per concern, all in the default registry the
 	// HTTP handler serves.
 	hm := sepe.Metrics().NewHash("ssn-pext")
-	cm := sepe.Metrics().NewContainer("ssn-map")
 	drift := format.DriftMonitor("ssn", sepe.DriftConfig{
 		SampleEvery: 1,
 		OnDegrade: func(s sepe.DriftSnapshot) {
@@ -58,7 +57,7 @@ func main() {
 	})
 	sepe.Metrics().Gauge("sepe_example_offformat_fraction", func() float64 { return *offFormat })
 
-	m := sepe.NewMapObserved[int](sepe.Instrument(hash.Func(), hm, drift), cm)
+	m := sepe.NewMap[int](sepe.Instrument(hash.Func(), hm, drift), sepe.WithMetrics(nil, "ssn-map"))
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -85,7 +84,7 @@ func main() {
 			m.Delete(key)
 		}
 		if i%100000 == 0 && i > 0 {
-			s := cm.Snapshot()
+			s := sepe.Metrics().Snapshot().Containers[0]
 			fmt.Printf("ops=%d buckets_bcoll=%d rehashes=%d degraded=%v\n",
 				s.Puts+s.Gets+s.Deletes, s.BucketCollisions, s.Rehashes, drift.Degraded())
 		}

@@ -73,9 +73,9 @@ func main() {
 	fmt.Printf("%-22s %v\n", "std (STL murmur):", tStd)
 
 	// A multiset view of the same traffic, for RQ9 flavour.
-	ms := sepe.NewMultiSet(offxor.Func())
+	ms := sepe.NewMultiMap[struct{}](offxor.Func())
 	for _, u := range urls[:1000] {
-		ms.Add(u)
+		ms.Put(u, struct{}{})
 	}
 	sample := pageURL(1)
 	fmt.Printf("\nmultiset: %d observations; %q seen %d times\n",

@@ -389,8 +389,15 @@ func (h *Hash) State() State { return State(h.state.Load()) }
 
 // Generation returns the active function's generation: 1 for the
 // original specialized function, +1 per swap (fallback or promotion).
-// Containers watch it to start incremental migrations.
 func (h *Hash) Generation() uint64 { return h.cur.Load().gen }
+
+// Variant returns the active function together with its generation,
+// read from one atomic load so the pair is consistent. Containers
+// watch it to start incremental migrations tagged with the generation.
+func (h *Hash) Variant() (gen uint64, fn hashes.Func) {
+	v := h.cur.Load()
+	return v.gen, v.fn
+}
 
 // Current returns a pinned snapshot of the active function — the
 // function itself, not the self-switching wrapper — for callers that

@@ -182,7 +182,7 @@ func LowMixing(f hashes.Func, t keys.Type, d keys.Distribution, discards []uint,
 	pool := keys.NewGenerator(t, d, 0xBEEF).Distinct(n)
 	var out []LowMixingPoint
 	for _, x := range discards {
-		c := container.NewSet(f, container.HighBitsIndexer(x))
+		c := container.NewMap[struct{}](f, container.HighBitsIndexer(x))
 		seen := make(map[uint64]struct{}, n)
 		tc := 0
 		for _, k := range pool {

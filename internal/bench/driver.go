@@ -201,7 +201,7 @@ func runBatched(c container.Container, pool []string, n int) int {
 		ops++
 	}
 	for i := 0; i < n-2*third; i++ {
-		c.Erase(pool[i%len(pool)])
+		c.Delete(pool[i%len(pool)])
 		ops++
 	}
 	return ops
@@ -232,7 +232,7 @@ func runInterweaved(c container.Container, pool []string, n int, m Mode, dist ke
 		case f < pi+ps:
 			c.Search(k)
 		default:
-			c.Erase(k)
+			c.Delete(k)
 		}
 		ops++
 	}

@@ -68,8 +68,8 @@ type Hooks struct {
 	OnRehash func(buckets, bucketCollisions int)
 	// OnClear fires after the table is emptied.
 	OnClear func()
-	// OnMigrateStart fires when RehashInto retires the current region:
-	// retired buckets will drain into fresh new ones.
+	// OnMigrateStart fires when BeginMigration retires the current
+	// region: retired buckets will drain into fresh new ones.
 	OnMigrateStart func(retired, fresh int)
 	// OnMigrateDone fires when the last retired bucket has drained,
 	// before the completion recount's OnRehash.
@@ -87,20 +87,24 @@ type entry[V any] struct {
 	val  V
 }
 
-// table is the shared chained-bucket core.
+// Table is the chained-bucket core behind Map and MultiMap, and the
+// per-shard table of the striped containers in internal/shard. A multi
+// table keeps duplicate keys (multimap semantics); any other table
+// replaces an existing mapping on insert.
 //
-// During a live migration (rehashInto) the table holds two bucket
+// During a live migration (BeginMigration) the table holds two bucket
 // regions: `buckets` indexed by the new hash function, and `old`
 // indexed by the retired one. Operations consult both; each drain
 // step moves a few old buckets across, so a container can swap hash
 // functions under load without a stop-the-world rehash.
-type table[V any] struct {
+type Table[V any] struct {
 	hash    hashes.Func
 	index   Indexer
 	buckets [][]entry[V]
 	size    int
 	multi   bool
 	hooks   *Hooks
+	gen     uint64 // generation of hash, as tagged by BeginMigration
 
 	// Migration state: nil/empty when no migration is in progress.
 	oldHash  hashes.Func
@@ -108,33 +112,45 @@ type table[V any] struct {
 	drainPos int
 }
 
-func newTable[V any](hash hashes.Func, index Indexer, multi bool) *table[V] {
+// NewTable returns an empty table over hash; a nil indexer selects the
+// libstdc++ modulo policy.
+func NewTable[V any](hash hashes.Func, index Indexer, multi bool) *Table[V] {
+	t := new(Table[V])
+	t.init(hash, index, multi)
+	return t
+}
+
+func (t *Table[V]) init(hash hashes.Func, index Indexer, multi bool) {
 	if index == nil {
 		index = ModIndexer
 	}
-	return &table[V]{
-		hash:    hash,
-		index:   index,
-		buckets: make([][]entry[V], initialBuckets),
-		multi:   multi,
-	}
+	t.hash, t.index, t.multi = hash, index, multi
+	t.buckets = make([][]entry[V], initialBuckets)
 }
 
-func (t *table[V]) bucketOf(h uint64) int { return t.index(h, len(t.buckets)) }
+func (t *Table[V]) bucketOf(h uint64) int { return t.index(h, len(t.buckets)) }
 
 // oldBucket returns the retired-region chain for key, with the hash
 // the chain's entries were stored under. Only valid while migrating.
-func (t *table[V]) oldBucket(key string) (*[]entry[V], uint64) {
+func (t *Table[V]) oldBucket(key string) (*[]entry[V], uint64) {
 	oh := t.oldHash(key)
 	return &t.old[t.index(oh, len(t.old))], oh
 }
 
-// put inserts key→val under its precomputed hash h (h must equal
-// t.hash(key); the sharded layer passes the value it already computed
-// for shard routing, every other caller computes it on entry).
-// Non-multi tables replace an existing mapping and report whether the
-// key was new; multi tables always append.
-func (t *table[V]) put(h uint64, key string, val V) bool {
+// HashOf returns key's hash under the table's current function.
+func (t *Table[V]) HashOf(key string) uint64 { return t.hash(key) }
+
+// The *Hashed entry points take the key's hash from the caller: the
+// sharded layer routes a key to a shard with the top bits of its hash
+// and must not pay for hashing twice. The contract is strict: h must
+// equal HashOf(key) — the chains compare stored hashes before keys,
+// and the bucket index is derived from h. Passing any other value
+// silently corrupts lookups.
+
+// PutHashed inserts key→val under its precomputed hash h. Non-multi
+// tables replace an existing mapping and report whether the key was
+// new; multi tables always append.
+func (t *Table[V]) PutHashed(h uint64, key string, val V) bool {
 	b := t.bucketOf(h)
 	if !t.multi {
 		chain := t.buckets[b]
@@ -183,8 +199,8 @@ func (t *table[V]) put(h uint64, key string, val V) bool {
 	return true
 }
 
-// get returns the first value mapped to key (stored under hash h).
-func (t *table[V]) get(h uint64, key string) (V, bool) {
+// GetHashed returns the first value mapped to key (stored under hash h).
+func (t *Table[V]) GetHashed(h uint64, key string) (V, bool) {
 	chain := t.buckets[t.bucketOf(h)]
 	for i := range chain {
 		if chain[i].hash == h && chain[i].key == key {
@@ -214,8 +230,8 @@ func (t *table[V]) get(h uint64, key string) (V, bool) {
 	return zero, false
 }
 
-// count returns the number of entries with the given key.
-func (t *table[V]) count(h uint64, key string) int {
+// CountHashed returns the number of entries with the given key.
+func (t *Table[V]) CountHashed(h uint64, key string) int {
 	chain := t.buckets[t.bucketOf(h)]
 	n := 0
 	for i := range chain {
@@ -239,8 +255,8 @@ func (t *table[V]) count(h uint64, key string) int {
 	return n
 }
 
-// collect returns every value mapped to key (multimap GetAll).
-func (t *table[V]) collect(h uint64, key string) []V {
+// GetAllHashed returns every value mapped to key (multimap GetAll).
+func (t *Table[V]) GetAllHashed(h uint64, key string) []V {
 	chain := t.buckets[t.bucketOf(h)]
 	var out []V
 	for i := range chain {
@@ -294,9 +310,9 @@ func delFrom[V any](bucket *[]entry[V], h uint64, key string) (probes, removed, 
 	return len(chain), removed, after - before
 }
 
-// del removes all entries with the given key, returning how many were
-// removed (erase(key) semantics of the unordered containers).
-func (t *table[V]) del(h uint64, key string) int {
+// DeleteHashed removes all entries with the given key, returning how
+// many were removed (erase(key) semantics of the unordered containers).
+func (t *Table[V]) DeleteHashed(h uint64, key string) int {
 	probes, removed, collDelta := delFrom(&t.buckets[t.bucketOf(h)], h, key)
 	if t.old != nil {
 		ochain, oh := t.oldBucket(key)
@@ -312,7 +328,7 @@ func (t *table[V]) del(h uint64, key string) int {
 	return removed
 }
 
-func (t *table[V]) rehash(n int) {
+func (t *Table[V]) rehash(n int) {
 	old := t.buckets
 	t.buckets = make([][]entry[V], n)
 	for _, chain := range old {
@@ -329,24 +345,34 @@ func (t *table[V]) rehash(n int) {
 	}
 }
 
-// reserve grows the table so that n entries fit without rehashing
+// Reserve grows the table so that n entries fit without rehashing
 // (std::unordered_map::reserve).
-func (t *table[V]) reserve(n int) {
+func (t *Table[V]) Reserve(n int) {
 	if n <= len(t.buckets) {
 		return
 	}
 	t.rehash(nextPrime(n))
 }
 
-// rehashInto starts a live migration to newHash. The current buckets
-// become the retired region; a fresh region sized for the table's
-// population is indexed by newHash. Entries move over incrementally
-// via drain, so no single operation pays an O(n) rehash.
-func (t *table[V]) rehashInto(newHash hashes.Func) {
+// BeginMigration starts a live migration to newHash, the function of
+// generation gen. The current buckets become the retired region; a
+// fresh region sized for the table's population is indexed by newHash.
+// Entries move over incrementally via MigrateStep, so no single
+// operation pays an O(n) rehash; lookups and erases consult both
+// regions until the migration drains.
+//
+// A migration whose generation is not newer than the table's own is
+// ignored: two sweeps that finish out of order cannot move the table
+// back to an older function.
+func (t *Table[V]) BeginMigration(gen uint64, newHash hashes.Func) {
+	if gen <= t.gen {
+		return
+	}
+	t.gen = gen
 	if t.old != nil {
 		// A migration is already in flight: finish it first so the
 		// table never holds three generations of buckets.
-		t.drain(len(t.old))
+		t.MigrateStep(len(t.old))
 	}
 	t.oldHash = t.hash
 	t.old = t.buckets
@@ -362,10 +388,10 @@ func (t *table[V]) rehashInto(newHash hashes.Func) {
 	}
 }
 
-// drain moves up to k retired buckets into the live region, returning
-// true while the migration is still in progress. Each moved entry's
-// hash is recomputed under the new function.
-func (t *table[V]) drain(k int) bool {
+// MigrateStep moves up to k retired buckets into the live region,
+// returning true while the migration is still in progress. Each moved
+// entry's hash is recomputed under the new function.
+func (t *Table[V]) MigrateStep(k int) bool {
 	if t.old == nil {
 		return false
 	}
@@ -397,17 +423,17 @@ func (t *table[V]) drain(k int) bool {
 	return false
 }
 
-// migrating reports whether a live migration is in progress.
-func (t *table[V]) migrating() bool { return t.old != nil }
+// Migrating reports whether a live migration is in progress.
+func (t *Table[V]) Migrating() bool { return t.old != nil }
 
-// loadFactor returns size/buckets (std::unordered_map::load_factor).
-func (t *table[V]) loadFactor() float64 {
+// LoadFactor returns size/buckets (std::unordered_map::load_factor).
+func (t *Table[V]) LoadFactor() float64 {
 	return float64(t.size) / float64(len(t.buckets))
 }
 
-// clear removes every entry, keeping the bucket array. Any in-flight
+// Clear removes every entry, keeping the bucket array. Any in-flight
 // migration ends: the retired region is dropped with the entries.
-func (t *table[V]) clear() {
+func (t *Table[V]) Clear() {
 	for i := range t.buckets {
 		t.buckets[i] = nil
 	}
@@ -420,46 +446,50 @@ func (t *table[V]) clear() {
 
 // bucketCollisions counts keys sharing a bucket with an earlier key:
 // Σ max(0, len(bucket)−1), the paper's B-Coll measurement.
-func (t *table[V]) bucketCollisions() int {
+func (t *Table[V]) bucketCollisions() int {
 	n := 0
-	for _, chain := range t.buckets {
-		if len(chain) > 1 {
-			n += len(chain) - 1
-		}
-	}
-	for _, chain := range t.old {
-		if len(chain) > 1 {
-			n += len(chain) - 1
+	for _, region := range [2][][]entry[V]{t.buckets, t.old} {
+		for _, chain := range region {
+			n += max(0, len(chain)-1)
 		}
 	}
 	return n
 }
 
-// maxBucketLen returns the longest chain, a worst-case probe measure.
-func (t *table[V]) maxBucketLen() int {
-	m := 0
-	for _, chain := range t.buckets {
-		if len(chain) > m {
-			m = len(chain)
+// Stats returns bucket measurements; MaxBucketLen is the longest
+// chain, a worst-case probe measure.
+func (t *Table[V]) Stats() Stats {
+	st := Stats{Size: t.size, Buckets: len(t.buckets), BucketCollisions: t.bucketCollisions()}
+	for _, region := range [2][][]entry[V]{t.buckets, t.old} {
+		for _, chain := range region {
+			st.MaxBucketLen = max(st.MaxBucketLen, len(chain))
 		}
 	}
-	for _, chain := range t.old {
-		if len(chain) > m {
-			m = len(chain)
-		}
-	}
-	return m
+	return st
 }
 
-func (t *table[V]) forEach(f func(key string, val V)) {
-	for _, chain := range t.buckets {
-		for i := range chain {
-			f(chain[i].key, chain[i].val)
-		}
-	}
-	for _, chain := range t.old {
-		for i := range chain {
-			f(chain[i].key, chain[i].val)
+// Len returns the number of entries.
+func (t *Table[V]) Len() int { return t.size }
+
+// SetHooks installs (or, with nil, removes) observation hooks.
+func (t *Table[V]) SetHooks(h *Hooks) { t.hooks = h }
+
+// Insert implements Container with a zero value.
+func (t *Table[V]) Insert(key string) { var zero V; t.PutHashed(t.hash(key), key, zero) }
+
+// Search implements Container.
+func (t *Table[V]) Search(key string) bool { _, ok := t.GetHashed(t.hash(key), key); return ok }
+
+// Delete removes all entries for key, reporting how many went away.
+func (t *Table[V]) Delete(key string) int { return t.DeleteHashed(t.hash(key), key) }
+
+// ForEach visits every entry in unspecified order.
+func (t *Table[V]) ForEach(f func(key string, val V)) {
+	for _, region := range [2][][]entry[V]{t.buckets, t.old} {
+		for _, chain := range region {
+			for i := range chain {
+				f(chain[i].key, chain[i].val)
+			}
 		}
 	}
 }

@@ -110,14 +110,14 @@ func TestMapMatchesBuiltin(t *testing.T) {
 }
 
 func TestSetBasics(t *testing.T) {
-	s := NewSet(hashes.City, nil)
-	if !s.Add("x") || s.Add("x") {
+	s := NewMap[struct{}](hashes.City, nil)
+	if !s.Put("x", struct{}{}) || s.Put("x", struct{}{}) {
 		t.Error("Add new/dup semantics wrong")
 	}
 	if !s.Search("x") || s.Search("y") {
 		t.Error("Search wrong")
 	}
-	if s.Erase("x") != 1 || s.Len() != 0 {
+	if s.Delete("x") != 1 || s.Len() != 0 {
 		t.Error("Erase wrong")
 	}
 }
@@ -151,14 +151,14 @@ func TestMultiMapDuplicates(t *testing.T) {
 }
 
 func TestMultiSetCounts(t *testing.T) {
-	s := NewMultiSet(hashes.STL, nil)
+	s := NewMultiMap[struct{}](hashes.STL, nil)
 	for i := 0; i < 5; i++ {
 		s.Insert("dup")
 	}
 	if s.Count("dup") != 5 || s.Len() != 5 {
 		t.Error("multiset counting wrong")
 	}
-	if s.Erase("dup") != 5 || s.Search("dup") {
+	if s.Delete("dup") != 5 || s.Search("dup") {
 		t.Error("multiset erase wrong")
 	}
 }
@@ -193,8 +193,8 @@ func TestNewCoversAllKinds(t *testing.T) {
 		if c.Len() != wantLen {
 			t.Errorf("%v: Len = %d, want %d", k, c.Len(), wantLen)
 		}
-		if n := c.Erase("a"); n != wantLen {
-			t.Errorf("%v: Erase = %d, want %d", k, n, wantLen)
+		if n := c.Delete("a"); n != wantLen {
+			t.Errorf("%v: Delete = %d, want %d", k, n, wantLen)
 		}
 		st := c.Stats()
 		if st.Size != 0 || st.Buckets < initialBuckets {
@@ -383,7 +383,7 @@ func TestLoadFactorAndClear(t *testing.T) {
 }
 
 func TestSetReserveClear(t *testing.T) {
-	s := NewSet(hashes.STL, nil)
+	s := NewMap[struct{}](hashes.STL, nil)
 	s.Reserve(1000)
 	for i := 0; i < 1000; i++ {
 		s.Insert(fmt.Sprintf("m%d", i))

@@ -127,7 +127,7 @@ func TestHooksMultiContainers(t *testing.T) {
 		t.Fatalf("after Clear: len=%d bcoll=%d", mm.Len(), rec.bcoll)
 	}
 
-	ms := NewMultiSet(hashes.STL, nil)
+	ms := NewMultiMap[struct{}](hashes.STL, nil)
 	rec2 := &hookRecorder{}
 	ms.SetHooks(rec2.hooks())
 	ms.Insert("x")
@@ -145,10 +145,10 @@ func TestHooksMultiContainers(t *testing.T) {
 // exact recount.
 func TestHooksReserveRehash(t *testing.T) {
 	rec := &hookRecorder{}
-	s := NewSet(hashes.STL, nil)
+	s := NewMap[struct{}](hashes.STL, nil)
 	s.SetHooks(rec.hooks())
 	for i := 0; i < 10; i++ {
-		s.Add(fmt.Sprintf("k%d", i))
+		s.Insert(fmt.Sprintf("k%d", i))
 	}
 	s.Reserve(1000)
 	if rec.rehashes == 0 {

@@ -25,7 +25,7 @@ func TestMapMigrationPreservesEntries(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)
 	}
-	m.BeginMigration(hashes.STL)
+	m.BeginMigration(2, hashes.STL)
 	if !m.Migrating() {
 		t.Fatal("Migrating() = false right after BeginMigration")
 	}
@@ -64,7 +64,7 @@ func TestMapPutExistingDuringMigrationNoDuplicate(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)
 	}
-	m.BeginMigration(hashes.STL)
+	m.BeginMigration(2, hashes.STL)
 	// Every key still lives in the retired region. Overwriting now must
 	// replace there, not append a shadowing duplicate.
 	for i := 0; i < n; i++ {
@@ -93,7 +93,7 @@ func TestMapDeleteOldRegionKeyDuringMigration(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)
 	}
-	m.BeginMigration(hashes.STL)
+	m.BeginMigration(2, hashes.STL)
 	for i := 0; i < n; i += 2 {
 		if removed := m.Delete(migKey(i)); removed != 1 {
 			t.Fatalf("Delete(%q) = %d, want 1", migKey(i), removed)
@@ -119,7 +119,7 @@ func TestMultiMapDuplicatesSurviveMigration(t *testing.T) {
 		m.Put(migKey(i), i)
 		m.Put(migKey(i), i+1000)
 	}
-	m.BeginMigration(hashes.STL)
+	m.BeginMigration(2, hashes.STL)
 	// Mid-migration, GetAll and Count must see both copies.
 	m.MigrateStep(1)
 	for i := 0; i < n; i++ {
@@ -143,16 +143,16 @@ func TestMultiMapDuplicatesSurviveMigration(t *testing.T) {
 }
 
 func TestSetAndMultiSetMigration(t *testing.T) {
-	s := NewSet(weakHash, nil)
-	ms := NewMultiSet(weakHash, nil)
+	s := NewMap[struct{}](weakHash, nil)
+	ms := NewMultiMap[struct{}](weakHash, nil)
 	const n = 300
 	for i := 0; i < n; i++ {
 		s.Insert(migKey(i))
 		ms.Insert(migKey(i))
 		ms.Insert(migKey(i))
 	}
-	s.BeginMigration(hashes.STL)
-	ms.BeginMigration(hashes.STL)
+	s.BeginMigration(2, hashes.STL)
+	ms.BeginMigration(2, hashes.STL)
 	for s.MigrateStep(2) {
 	}
 	for ms.MigrateStep(2) {
@@ -176,9 +176,9 @@ func TestBeginMigrationWhileMigratingFinishesFirst(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)
 	}
-	m.BeginMigration(hashes.FNV1)
+	m.BeginMigration(2, hashes.FNV1)
 	m.MigrateStep(1) // leave the first migration unfinished
-	m.BeginMigration(hashes.STL)
+	m.BeginMigration(3, hashes.STL)
 	for m.MigrateStep(4) {
 	}
 	if m.Len() != n {
@@ -191,12 +191,38 @@ func TestBeginMigrationWhileMigratingFinishesFirst(t *testing.T) {
 	}
 }
 
+// TestStaleMigrationIgnored: a migration tagged with a generation not
+// newer than the table's own is dropped, so a sweep that lost the race
+// cannot move the table back to an older function.
+func TestStaleMigrationIgnored(t *testing.T) {
+	m := NewMap[int](weakHash, nil)
+	for i := 0; i < 100; i++ {
+		m.Put(migKey(i), i)
+	}
+	m.BeginMigration(3, hashes.STL)
+	for m.MigrateStep(4) {
+	}
+	m.BeginMigration(2, weakHash)
+	m.BeginMigration(3, weakHash)
+	if m.Migrating() {
+		t.Fatal("stale BeginMigration started a migration")
+	}
+	if m.HashOf("k") != hashes.STL("k") {
+		t.Fatal("stale BeginMigration replaced the table's function")
+	}
+	for i := 0; i < 100; i++ {
+		if v, ok := m.Get(migKey(i)); !ok || v != i {
+			t.Fatalf("Get(%q) = %d,%v", migKey(i), v, ok)
+		}
+	}
+}
+
 func TestClearDuringMigrationEndsIt(t *testing.T) {
 	m := NewMap[int](weakHash, nil)
 	for i := 0; i < 100; i++ {
 		m.Put(migKey(i), i)
 	}
-	m.BeginMigration(hashes.STL)
+	m.BeginMigration(2, hashes.STL)
 	m.Clear()
 	if m.Migrating() {
 		t.Fatal("Clear left the migration in flight")
@@ -219,7 +245,7 @@ func TestMigrationGrowthDuringDrain(t *testing.T) {
 	for i := 0; i < base; i++ {
 		m.Put(migKey(i), i)
 	}
-	m.BeginMigration(hashes.STL)
+	m.BeginMigration(2, hashes.STL)
 	const extra = 2000
 	for i := base; i < base+extra; i++ {
 		m.Put(migKey(i), i)
@@ -246,7 +272,7 @@ func TestMigrationStatsAndForEachSeeBothRegions(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)
 	}
-	m.BeginMigration(hashes.STL)
+	m.BeginMigration(2, hashes.STL)
 	m.MigrateStep(1)
 
 	seen := map[string]int{}

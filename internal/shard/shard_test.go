@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,15 +15,15 @@ func TestShardOptions(t *testing.T) {
 		{1, 1}, {2, 2}, {3, 4}, {8, 8}, {9, 16}, {1000, 1024},
 	}
 	for _, c := range cases {
-		if got := resolveShards([]Option{WithShards(c.in)}); got != c.want {
-			t.Errorf("WithShards(%d): got %d shards, want %d", c.in, got, c.want)
+		if got := resolveShards(c.in); got != c.want {
+			t.Errorf("resolveShards(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
-	if n := resolveShards(nil); n&(n-1) != 0 || n < 8 {
+	if n := resolveShards(0); n&(n-1) != 0 || n < 8 {
 		t.Errorf("default shard count %d: want power of two >= 8", n)
 	}
-	if n := resolveShards([]Option{WithShards(0)}); n != resolveShards(nil) {
-		t.Errorf("WithShards(0) = %d, want default %d", n, resolveShards(nil))
+	if n := resolveShards(-1); n != resolveShards(0) {
+		t.Errorf("resolveShards(-1) = %d, want default %d", n, resolveShards(0))
 	}
 }
 
@@ -30,7 +31,7 @@ func TestShardOptions(t *testing.T) {
 // the shard its hash's high bits name, and a single-shard container
 // (shift 64) must route everything to shard 0.
 func TestShardRouting(t *testing.T) {
-	m := NewMap[int](hashes.STL, WithShards(16))
+	m := NewStriped[int](hashes.STL, false, 16)
 	if m.Shards() != 16 {
 		t.Fatalf("Shards() = %d, want 16", m.Shards())
 	}
@@ -42,7 +43,7 @@ func TestShardRouting(t *testing.T) {
 			t.Fatalf("shardOf(%q) = %d, want %d (top 4 bits)", k, got, want)
 		}
 	}
-	one := NewMap[int](hashes.STL, WithShards(1))
+	one := NewStriped[int](hashes.STL, false, 1)
 	for i := 0; i < 100; i++ {
 		if s := one.shardOf(hashes.STL(fmt.Sprintf("k%d", i))); s != 0 {
 			t.Fatalf("single-shard shardOf = %d, want 0", s)
@@ -71,7 +72,7 @@ func TestMergeStats(t *testing.T) {
 // merge: with one shard, the merged view must equal a plain container
 // fed the identical operations.
 func TestMergeStatsSingleShard(t *testing.T) {
-	sharded := NewMap[int](hashes.STL, WithShards(1))
+	sharded := NewStriped[int](hashes.STL, false, 1)
 	plain := container.NewMap[int](hashes.STL, nil)
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("key-%03d", i)
@@ -98,9 +99,9 @@ func TestBatchMatchesLoop(t *testing.T) {
 		keys[i] = fmt.Sprintf("batch-%03d", i)
 		vals[i] = i * 7
 	}
-	batch := NewMap[int](hashes.STL, WithShards(8))
+	batch := NewStriped[int](hashes.STL, false, 8)
 	batch.PutBatch(keys, vals)
-	loop := NewMap[int](hashes.STL, WithShards(8))
+	loop := NewStriped[int](hashes.STL, false, 8)
 	for i, k := range keys {
 		loop.Put(k, vals[i])
 	}
@@ -136,20 +137,20 @@ func TestSetBatch(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("s-%03d", i)
 	}
-	s := NewSet(hashes.STL, WithShards(4))
-	s.AddBatch(keys)
+	s := NewStriped[struct{}](hashes.STL, false, 4)
+	s.PutBatch(keys, make([]struct{}, len(keys)))
 	if s.Len() != len(keys) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(keys))
 	}
 	probe := append([]string{"missing"}, keys[10:20]...)
 	found := make([]bool, len(probe))
-	s.SearchBatch(probe, found)
+	s.GetBatch(probe, make([]struct{}, len(probe)), found)
 	if found[0] {
-		t.Errorf("SearchBatch found a missing key")
+		t.Errorf("GetBatch found a missing key")
 	}
 	for i := 1; i < len(probe); i++ {
 		if !found[i] {
-			t.Errorf("SearchBatch missed member %q", probe[i])
+			t.Errorf("GetBatch missed member %q", probe[i])
 		}
 	}
 }
@@ -166,7 +167,7 @@ func TestShardedMapParallel(t *testing.T) {
 		readers = 3
 		perG    = 600
 	)
-	m := NewMap[int](hashes.STL, WithShards(8))
+	m := NewStriped[int](hashes.STL, false, 8)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -227,7 +228,7 @@ func TestShardedMapParallel(t *testing.T) {
 
 func TestShardedSetParallel(t *testing.T) {
 	const gs, perG = 6, 500
-	s := NewSet(hashes.STL, WithShards(8))
+	s := NewStriped[struct{}](hashes.STL, false, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < gs; g++ {
 		wg.Add(1)
@@ -235,10 +236,10 @@ func TestShardedSetParallel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				k := fmt.Sprintf("g%d-%04d", g, i)
-				s.Add(k)
-				s.Search(k)
+				s.Put(k, struct{}{})
+				s.Get(k)
 				if i%4 == 0 {
-					s.Erase(k)
+					s.Delete(k)
 				}
 			}
 		}(g)
@@ -258,7 +259,7 @@ func TestShardedSetParallel(t *testing.T) {
 		t.Fatalf("final Len = %d, oracle has %d", s.Len(), len(oracle))
 	}
 	for k := range oracle {
-		if !s.Search(k) {
+		if _, ok := s.Get(k); !ok {
 			t.Fatalf("member %q missing", k)
 		}
 	}
@@ -266,7 +267,7 @@ func TestShardedSetParallel(t *testing.T) {
 
 func TestShardedMultiMapParallel(t *testing.T) {
 	const gs, perG = 4, 400
-	m := NewMultiMap[int](hashes.STL, WithShards(8))
+	m := NewStriped[int](hashes.STL, true, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < gs; g++ {
 		wg.Add(1)
@@ -310,7 +311,7 @@ func TestShardedMultiMapParallel(t *testing.T) {
 
 func TestShardedMultiSetParallel(t *testing.T) {
 	const gs, perG = 4, 400
-	s := NewMultiSet(hashes.STL, WithShards(8))
+	s := NewStriped[struct{}](hashes.STL, true, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < gs; g++ {
 		wg.Add(1)
@@ -318,10 +319,10 @@ func TestShardedMultiSetParallel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				k := fmt.Sprintf("g%d-%03d", g, i%40)
-				s.Insert(k)
-				s.Search(k)
+				s.Put(k, struct{}{})
+				s.Count(k)
 				if i%9 == 0 {
-					s.Erase(k)
+					s.Delete(k)
 				}
 			}
 		}(g)
@@ -354,7 +355,7 @@ func TestShardedMultiSetParallel(t *testing.T) {
 // contention.
 func TestShardedBatchParallel(t *testing.T) {
 	const gs, batch = 4, 128
-	m := NewMap[int](hashes.STL, WithShards(8))
+	m := NewStriped[int](hashes.STL, false, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < gs; g++ {
 		wg.Add(1)
@@ -390,12 +391,12 @@ func TestShardedBatchParallel(t *testing.T) {
 // must remain reachable during and after the per-shard incremental
 // drains, under concurrent readers.
 func TestShardedMigration(t *testing.T) {
-	m := NewMap[int](hashes.STL, WithShards(4))
+	m := NewStriped[int](hashes.STL, false, 4)
 	const n = 800
 	for i := 0; i < n; i++ {
 		m.Put(fmt.Sprintf("key-%04d", i), i)
 	}
-	m.BeginMigration(hashes.FNV)
+	m.BeginMigration(2, hashes.FNV)
 	if !m.Migrating() {
 		t.Fatal("Migrating() = false right after BeginMigration")
 	}
@@ -436,54 +437,121 @@ func TestShardedMigration(t *testing.T) {
 	}
 }
 
+// TestStaleMigrationLeavesNewest: two elected sweeps can finish out of
+// order. When gen 3's sweep runs before a preempted gen 2 sweep, every
+// shard must stay on gen 3's function.
+func TestStaleMigrationLeavesNewest(t *testing.T) {
+	const n = 400
+	m := NewStriped[int](hashes.STL, false, 8)
+	for i := 0; i < n; i++ {
+		m.Put(fmt.Sprintf("key-%04d", i), i)
+	}
+	f2 := func(string) uint64 { return 0 }
+	m.BeginMigration(3, hashes.FNV)
+	m.BeginMigration(2, f2)
+	for m.MigrateStep(8) {
+	}
+	for i, tab := range m.tabs {
+		if tab.HashOf("probe") != hashes.FNV("probe") {
+			t.Fatalf("shard %d left on a stale function", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("key-%04d", i)
+		if v, ok := m.Get(k); !ok || v != i {
+			t.Fatalf("Get(%q) = (%d,%v), want (%d,true)", k, v, ok, i)
+		}
+	}
+}
+
 // FuzzShardedMapOps replays a fuzzer-chosen op sequence against a
-// plain map oracle — sequential, so every divergence is a correctness
-// bug in routing/bucketing rather than a race.
+// builtin-map oracle — sequential, so every divergence is a correctness
+// bug in routing, bucketing or migration rather than a race. The high
+// bit of shards selects multimap mode. Op 4 swaps the hash mid-stream:
+// it begins a migration to the next generation, alternating FNV and
+// STL; op 5 drains one migration step.
 func FuzzShardedMapOps(f *testing.F) {
 	f.Add([]byte("\x00a\x01b\x02a"), uint8(4))
 	f.Add([]byte("\x00k\x00k\x02k\x01k"), uint8(1))
+	f.Add([]byte("\x00a\x00b\x04x\x01a\x05x\x00c\x01b\x02a\x04x\x00a\x03x"), uint8(2))
+	f.Add([]byte("\x00a\x00a\x00b\x04x\x01a\x05\x03\x02a\x00b\x01b\x03x"), uint8(0x83))
 	f.Fuzz(func(t *testing.T, ops []byte, shards uint8) {
-		m := NewMap[int](hashes.STL, WithShards(int(shards%16)+1))
-		oracle := make(map[string]int)
+		multi := shards&0x80 != 0
+		m := NewStriped[int](hashes.STL, multi, int(shards%16)+1)
+		oracle := make(map[string][]int)
+		size := func() int {
+			n := 0
+			for _, vs := range oracle {
+				n += len(vs)
+			}
+			return n
+		}
+		check := func(op int, k string) {
+			want := oracle[k]
+			if multi {
+				got := m.GetAll(k)
+				slices.Sort(got)
+				if !slices.Equal(got, want) || m.Count(k) != len(want) {
+					t.Fatalf("op %d: GetAll(%q) = %v Count %d, oracle %v", op, k, got, m.Count(k), want)
+				}
+				return
+			}
+			v, ok := m.Get(k)
+			if ok != (len(want) > 0) || (ok && v != want[0]) {
+				t.Fatalf("op %d: Get(%q) = (%d,%v), oracle %v", op, k, v, ok, want)
+			}
+		}
+		gen := uint64(1)
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, k := ops[i]%4, fmt.Sprintf("k%d", ops[i+1]%32)
+			op, k := ops[i]%6, fmt.Sprintf("k%d", ops[i+1]%32)
 			switch op {
 			case 0:
 				isNew := m.Put(k, i)
-				_, existed := oracle[k]
-				if isNew == existed {
-					t.Fatalf("op %d: Put(%q) new=%v, oracle existed=%v", i, k, isNew, existed)
+				if want := multi || len(oracle[k]) == 0; isNew != want {
+					t.Fatalf("op %d: Put(%q) new=%v, want %v", i, k, isNew, want)
 				}
-				oracle[k] = i
+				if multi {
+					oracle[k] = append(oracle[k], i) // i only grows: stays sorted
+				} else {
+					oracle[k] = []int{i}
+				}
 			case 1:
-				v, ok := m.Get(k)
-				want, wantOK := oracle[k]
-				if ok != wantOK || (ok && v != want) {
-					t.Fatalf("op %d: Get(%q) = (%d,%v), oracle (%d,%v)", i, k, v, ok, want, wantOK)
-				}
+				check(i, k)
 			case 2:
-				got := m.Delete(k)
-				want := 0
-				if _, ok := oracle[k]; ok {
-					want = 1
-				}
-				if got != want {
+				if got, want := m.Delete(k), len(oracle[k]); got != want {
 					t.Fatalf("op %d: Delete(%q) = %d, oracle %d", i, k, got, want)
 				}
 				delete(oracle, k)
 			case 3:
-				if m.Len() != len(oracle) {
-					t.Fatalf("op %d: Len = %d, oracle %d", i, m.Len(), len(oracle))
+				if m.Len() != size() {
+					t.Fatalf("op %d: Len = %d, oracle %d", i, m.Len(), size())
 				}
+			case 4:
+				gen++
+				fn := hashes.STL
+				if gen%2 == 0 {
+					fn = hashes.FNV
+				}
+				m.BeginMigration(gen, fn)
+			case 5:
+				m.MigrateStep(int(ops[i+1]%4) + 1)
 			}
 		}
-		if m.Len() != len(oracle) {
-			t.Fatalf("final Len = %d, oracle %d", m.Len(), len(oracle))
+		if m.Len() != size() {
+			t.Fatalf("final Len = %d, oracle %d", m.Len(), size())
 		}
-		for k, want := range oracle {
-			if v, ok := m.Get(k); !ok || v != want {
-				t.Fatalf("final Get(%q) = (%d,%v), oracle %d", k, v, ok, want)
+		for k := range oracle {
+			check(len(ops), k)
+		}
+		seen := 0
+		m.ForEach(func(k string, v int) {
+			seen++
+			if !slices.Contains(oracle[k], v) {
+				t.Fatalf("ForEach visited %q=%d not in oracle", k, v)
 			}
+		})
+		if seen != size() {
+			t.Fatalf("ForEach visited %d entries, oracle %d", seen, size())
 		}
 	})
 }

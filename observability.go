@@ -115,7 +115,7 @@ func RegisterRuntimeMetrics() { telemetry.RegisterRuntimeMetrics(telemetry.Defau
 // nothing.
 //
 // The wrapper batches its counter updates locally and flushes them to
-// m's atomics every 64 calls, keeping the per-call overhead a small
+// m's atomics every 256 calls, keeping the per-call overhead a small
 // fraction of even a Pext hash. Consequently each wrapper value must
 // stay confined to one goroutine — the ownership discipline the
 // containers already require. Wrap once per goroutine (or per
@@ -147,9 +147,6 @@ func (f *Format) DriftMonitor(name string, cfg DriftConfig) *DriftMonitor {
 // containers need this form: their read paths run concurrently under
 // shard RLocks, so per-op state must be shared-safe.
 func containerHooks(cm *ContainerMetrics) *container.Hooks {
-	if cm == nil {
-		return nil
-	}
 	return &container.Hooks{
 		OnPut: func(key string, probes, delta int) {
 			cm.Put(key, probes)
@@ -171,6 +168,16 @@ func containerHooks(cm *ContainerMetrics) *container.Hooks {
 	}
 }
 
+// ownerHooks returns the hooks a single-owner container installs for
+// opts: nil unless opts ask for metrics.
+func ownerHooks(opts []ContainerOption) *container.Hooks {
+	c := resolve(opts)
+	if c.reg == nil {
+		return nil
+	}
+	return batchedContainerHooks(c.reg.NewContainer(c.name))
+}
+
 // batchedContainerHooks adapts cm for the unsharded containers, which
 // are single-owner by contract (the container itself is not
 // goroutine-safe, so its hooks inherit the same confinement). Op
@@ -181,9 +188,6 @@ func containerHooks(cm *ContainerMetrics) *container.Hooks {
 // BENCH_obs.json. B-Coll deltas stay immediate: the running collision
 // count backs the quality alarms and must not trail the table.
 func batchedContainerHooks(cm *ContainerMetrics) *container.Hooks {
-	if cm == nil {
-		return nil
-	}
 	b := telemetry.NewBatchedContainerOps(cm)
 	return &container.Hooks{
 		OnPut: func(key string, probes, delta int) {
@@ -225,89 +229,4 @@ func batchedContainerHooks(cm *ContainerMetrics) *container.Hooks {
 // hot shard must stay visible in the merged view).
 func MergeContainerSnapshots(name string, parts []ContainerSnapshot) ContainerSnapshot {
 	return telemetry.MergeContainerSnapshots(name, parts)
-}
-
-// shardHooksOf builds the per-shard hook selector for a sharded
-// observed container: shard i feeds ms[i]. The ContainerMetrics hot
-// paths are atomic, so concurrent shard operations update their
-// blocks without coordination.
-func shardHooksOf(ms []*ContainerMetrics) func(int) *container.Hooks {
-	return func(i int) *container.Hooks { return containerHooks(ms[i]) }
-}
-
-// NewShardedMapObserved returns a ShardedMap with one metric block
-// per shard, created in and registered with r (nil selects the
-// default registry) under name.shard0 … name.shard<n-1>. Merge the
-// per-shard snapshots with MergeContainerSnapshots for a
-// whole-container view.
-func NewShardedMapObserved[V any](hash HashFunc, r *MetricsRegistry, name string, opts ...ShardOption) *ShardedMap[V] {
-	if r == nil {
-		r = telemetry.Default
-	}
-	m := NewShardedMap[V](hash, opts...)
-	m.m.SetShardHooks(shardHooksOf(r.NewContainerShards(name, m.m.Shards())))
-	return m
-}
-
-// NewShardedSetObserved returns a ShardedSet with per-shard metrics
-// (see NewShardedMapObserved).
-func NewShardedSetObserved(hash HashFunc, r *MetricsRegistry, name string, opts ...ShardOption) *ShardedSet {
-	if r == nil {
-		r = telemetry.Default
-	}
-	s := NewShardedSet(hash, opts...)
-	s.s.SetShardHooks(shardHooksOf(r.NewContainerShards(name, s.s.Shards())))
-	return s
-}
-
-// NewShardedMultiMapObserved returns a ShardedMultiMap with per-shard
-// metrics (see NewShardedMapObserved).
-func NewShardedMultiMapObserved[V any](hash HashFunc, r *MetricsRegistry, name string, opts ...ShardOption) *ShardedMultiMap[V] {
-	if r == nil {
-		r = telemetry.Default
-	}
-	m := NewShardedMultiMap[V](hash, opts...)
-	m.m.SetShardHooks(shardHooksOf(r.NewContainerShards(name, m.m.Shards())))
-	return m
-}
-
-// NewShardedMultiSetObserved returns a ShardedMultiSet with per-shard
-// metrics (see NewShardedMapObserved).
-func NewShardedMultiSetObserved(hash HashFunc, r *MetricsRegistry, name string, opts ...ShardOption) *ShardedMultiSet {
-	if r == nil {
-		r = telemetry.Default
-	}
-	s := NewShardedMultiSet(hash, opts...)
-	s.s.SetShardHooks(shardHooksOf(r.NewContainerShards(name, s.s.Shards())))
-	return s
-}
-
-// NewMapObserved returns a Map whose operations feed cm: per-op probe
-// counts, rehashes, and a running bucket-collision (B-Coll) count. A
-// nil cm yields a plain, unobserved Map.
-func NewMapObserved[V any](hash HashFunc, cm *ContainerMetrics) *Map[V] {
-	m := NewMap[V](hash)
-	m.m.SetHooks(batchedContainerHooks(cm))
-	return m
-}
-
-// NewSetObserved returns a Set whose operations feed cm.
-func NewSetObserved(hash HashFunc, cm *ContainerMetrics) *Set {
-	s := NewSet(hash)
-	s.s.SetHooks(batchedContainerHooks(cm))
-	return s
-}
-
-// NewMultiMapObserved returns a MultiMap whose operations feed cm.
-func NewMultiMapObserved[V any](hash HashFunc, cm *ContainerMetrics) *MultiMap[V] {
-	m := NewMultiMap[V](hash)
-	m.m.SetHooks(batchedContainerHooks(cm))
-	return m
-}
-
-// NewMultiSetObserved returns a MultiSet whose operations feed cm.
-func NewMultiSetObserved(hash HashFunc, cm *ContainerMetrics) *MultiSet {
-	s := NewMultiSet(hash)
-	s.s.SetHooks(batchedContainerHooks(cm))
-	return s
 }

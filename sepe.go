@@ -7,8 +7,9 @@
 // regular expression (ParseRegex). Synthesize then generates a hash
 // function of one of four families — Naive, OffXor, Aes, Pext — in
 // increasing order of specialization. The synthesized functions plug
-// into the package's hash containers (Map, Set, MultiMap, MultiSet),
-// which mirror the std::unordered_* containers the paper benchmarks.
+// into the package's hash containers, Map and MultiMap (sets and
+// multisets are their struct{}-valued forms), which mirror the
+// std::unordered_* containers the paper benchmarks.
 //
 // A minimal session, equivalent to the paper's getting-started
 // tutorial:

@@ -170,17 +170,17 @@ func TestBaselines(t *testing.T) {
 func TestContainersRoundTrip(t *testing.T) {
 	h := STLHash
 	m := NewMap[int](h)
-	s := NewSet(h)
+	s := NewMap[struct{}](h)
 	mm := NewMultiMap[int](h)
-	ms := NewMultiSet(h)
+	ms := NewMultiMap[struct{}](h)
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key%d", i)
 		m.Put(k, i)
-		s.Add(k)
+		s.Put(k, struct{}{})
 		mm.Put(k, i)
 		mm.Put(k, i+1)
-		ms.Add(k)
-		ms.Add(k)
+		ms.Put(k, struct{}{})
+		ms.Put(k, struct{}{})
 	}
 	if m.Len() != 1000 || s.Len() != 1000 || mm.Len() != 2000 || ms.Len() != 2000 {
 		t.Fatalf("lengths: %d %d %d %d", m.Len(), s.Len(), mm.Len(), ms.Len())
@@ -188,8 +188,11 @@ func TestContainersRoundTrip(t *testing.T) {
 	if v, ok := m.Get("key7"); !ok || v != 7 {
 		t.Error("Map Get wrong")
 	}
-	if !s.Has("key7") || s.Has("nope") {
-		t.Error("Set Has wrong")
+	if _, ok := s.Get("key7"); !ok {
+		t.Error("Set Get missed a member")
+	}
+	if _, ok := s.Get("nope"); ok {
+		t.Error("Set Get found a non-member")
 	}
 	if got := mm.GetAll("key7"); len(got) != 2 {
 		t.Errorf("MultiMap GetAll = %v", got)
@@ -210,8 +213,8 @@ func TestContainersRoundTrip(t *testing.T) {
 	if n != 999 {
 		t.Errorf("ForEach visited %d", n)
 	}
-	if !ms.Has("key8") {
-		t.Error("MultiSet Has wrong")
+	if ms.Count("key8") != 2 {
+		t.Error("MultiSet Count wrong")
 	}
 }
 
@@ -365,14 +368,14 @@ func TestFacadeReserveLoadClear(t *testing.T) {
 	if m.Len() != 0 {
 		t.Error("Clear failed")
 	}
-	s := NewSet(STLHash)
+	s := NewMap[struct{}](STLHash)
 	s.Reserve(100)
-	s.Add("a")
+	s.Put("a", struct{}{})
 	if s.LoadFactor() <= 0 {
 		t.Error("Set LoadFactor wrong")
 	}
 	s.Clear()
-	if s.Has("a") {
+	if _, ok := s.Get("a"); ok {
 		t.Error("Set Clear failed")
 	}
 }
