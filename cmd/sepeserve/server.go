@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/sepe-go/sepe/internal/adaptive"
@@ -23,7 +25,10 @@ import (
 // minimal width (no leading zeros): JSON numbers are float64 and
 // silently corrupt 64-bit values. The hash route answers compact JSON
 // built by appendHashResponse; every other route pretty-prints through
-// writeJSON for human readers.
+// writeJSON for human readers. The hash route is the daemon's hot path:
+// its body, keys, hashes and response live in a pooled hashScratch, so
+// a request allocates only what outlives it (the one string(body) copy
+// its keys are sliced from) and what net/http allocates per request.
 
 const (
 	// maxBatch bounds one batch-hash request; larger batches answer
@@ -252,7 +257,54 @@ type hashRequest struct {
 	Keys []string `json:"keys,omitempty"`
 }
 
+// hashScratch is the hash route's per-request working memory: the
+// body, the scanned keys, the hashes and the response. It is pooled so
+// a steady stream of requests allocates none of it. The keys are
+// substrings of the request's own string(body) copy (or strings
+// decoded from it), never of the pooled body buffer, so a key that
+// outlives the request — in the drift monitor, the adaptive
+// reservoir or the flight recorder — never sees a buffer reused.
+type hashScratch struct {
+	body   bytes.Buffer
+	keys   []string
+	hashes []uint64
+	resp   []byte
+}
+
+var hashScratchPool = sync.Pool{New: func() any { return new(hashScratch) }}
+
+// maxPooledBytes bounds the byte buffers of a pooled hashScratch; it
+// holds a full batch of short keys and its response. A scratch that
+// grew past it, or past maxBatch keys, is dropped rather than pooled so
+// one near-maxBody request does not stay pinned.
+const maxPooledBytes = 128 << 10
+
+// poolable reports whether sc is small enough to return to the pool.
+func (sc *hashScratch) poolable() bool {
+	return sc.body.Cap() <= maxPooledBytes && cap(sc.resp) <= maxPooledBytes &&
+		cap(sc.keys) <= maxBatch && cap(sc.hashes) <= maxBatch
+}
+
+// putHashScratch returns sc to the pool, or drops it if it grew too
+// large. The keys are cleared first: they pin the request's body.
+func putHashScratch(sc *hashScratch) {
+	if !sc.poolable() {
+		return
+	}
+	clear(sc.keys)
+	sc.keys = sc.keys[:0]
+	sc.body.Reset()
+	hashScratchPool.Put(sc)
+}
+
+// jsonContentType is the hash route's Content-Type header value, set
+// directly so a response does not canonicalize the key or allocate
+// the value slice.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
 func (s *server) handleHash(w http.ResponseWriter, r *http.Request) {
+	sc := hashScratchPool.Get().(*hashScratch)
+	defer putHashScratch(sc)
 	t, err := s.reg.lookup(r.PathValue("name"))
 	if err != nil {
 		s.jsonError(w, statusOf(err), err)
@@ -264,36 +316,39 @@ func (s *server) handleHash(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, statusOf(err), err)
 		return
 	}
-	body, err := readBody(w, r)
+	err = readBodyInto(&sc.body, w, r)
 	var req hashRequest
 	if err == nil {
-		req, err = decodeHashRequest(body)
+		req, err = decodeHashRequest(sc.body.Bytes(), sc.keys)
+	}
+	if req.Keys != nil {
+		sc.keys = req.Keys // keep a grown slice for the next request
 	}
 	if err != nil {
 		s.bodyError(w, err)
 		return
 	}
-	var out []uint64
 	switch {
 	case req.Key != nil && len(req.Keys) == 0:
-		out = []uint64{ah.Hash(*req.Key)}
+		sc.hashes = append(sc.hashes[:0], ah.Hash(*req.Key))
 	case req.Key == nil && len(req.Keys) > 0:
 		if len(req.Keys) > maxBatch {
 			s.jsonError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("batch of %d exceeds the %d-key limit", len(req.Keys), maxBatch))
 			return
 		}
-		out = make([]uint64, len(req.Keys))
-		ah.HashBatch(req.Keys, out)
+		sc.hashes = slices.Grow(sc.hashes[:0], len(req.Keys))[:len(req.Keys)]
+		ah.HashBatch(req.Keys, sc.hashes)
 	default:
 		s.jsonError(w, http.StatusBadRequest,
 			errors.New(`body must carry exactly one of "key" or "keys"`))
 		return
 	}
 	// 19 bytes bound one rendered hash: 16 hex digits, quotes, comma.
-	resp := appendHashResponse(make([]byte, 0, 64+19*len(out)), out, req.Key == nil, ah.Generation())
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	if _, err := w.Write(resp); err != nil {
+	sc.resp = appendHashResponse(slices.Grow(sc.resp[:0], 64+19*len(sc.hashes)),
+		sc.hashes, req.Key == nil, ah.Generation())
+	w.Header()["Content-Type"] = jsonContentType
+	if _, err := w.Write(sc.resp); err != nil {
 		s.recordWriteError("hash-body", err)
 	}
 }
@@ -376,11 +431,18 @@ func (s *server) handleCertificate(w http.ResponseWriter, r *http.Request) {
 // body fails with *http.MaxBytesError, which bodyError answers 413.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	var buf bytes.Buffer
+	err := readBodyInto(&buf, w, r)
+	return buf.Bytes(), err
+}
+
+// readBodyInto is readBody appending to buf, so a reused buffer with
+// room for the body makes the read allocation-free.
+func readBodyInto(buf *bytes.Buffer, w http.ResponseWriter, r *http.Request) error {
 	// Room for the declared length plus ReadFrom's read-ahead makes the
-	// read one allocation.
+	// read at most one allocation.
 	buf.Grow(int(min(max(r.ContentLength, 0), maxBody)) + bytes.MinRead)
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
-	return buf.Bytes(), err
+	return err
 }
 
 // decodeJSON decodes one JSON value from body into v, rejecting any
